@@ -2,11 +2,12 @@
 // sample at two points): fault coverage of the BIBS whole-data-path kernel
 // and of the [3] per-block kernels as the random pattern count grows.
 
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "circuits/datapaths.hpp"
+#include "common/parse.hpp"
 #include "common/prng.hpp"
 #include "common/table.hpp"
 #include "core/designer.hpp"
@@ -69,9 +70,17 @@ double aggregate_after(const std::vector<fault::CoverageCurve>& curves,
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i)
-    if (std::string(argv[i]) == "--threads" && i + 1 < argc)
-      g_threads = std::atoi(argv[++i]);
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--threads" && i + 1 < argc &&
+        parse_number(std::string(argv[i + 1]), 0,
+                     std::numeric_limits<int>::max(), g_threads)) {
+      ++i;
+      continue;
+    }
+    std::cerr << "usage: bench_coverage_curve [--threads N]\n";
+    return arg == "--help" || arg == "-h" ? 0 : 64;
+  }
 
   for (const char* which : {"c5a2m", "c4a4m"}) {
     rtl::Netlist n;

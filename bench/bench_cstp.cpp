@@ -4,11 +4,12 @@
 // same elaborated kernel with the same fault list and report the coverage
 // each reaches as cycles grow.
 
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "circuits/figures.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "core/designer.hpp"
 #include "gate/synth.hpp"
@@ -21,9 +22,17 @@ int main(int argc, char** argv) {
   // --threads N (or BIBS_THREADS) parallelizes the 63-fault batches of both
   // schemes; the tables are bit-identical for any thread count.
   int threads = 0;
-  for (int i = 1; i < argc; ++i)
-    if (std::string(argv[i]) == "--threads" && i + 1 < argc)
-      threads = std::atoi(argv[++i]);
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--threads" && i + 1 < argc &&
+        parse_number(std::string(argv[i + 1]), 0,
+                     std::numeric_limits<int>::max(), threads)) {
+      ++i;
+      continue;
+    }
+    std::cerr << "usage: bench_cstp [--threads N]\n";
+    return arg == "--help" || arg == "-h" ? 0 : 64;
+  }
 
   const rtl::Netlist n = circuits::make_fig12a(4);  // M = 12 kernel
   const gate::Elaboration elab = gate::elaborate(n);

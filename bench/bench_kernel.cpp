@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "circuits/datapaths.hpp"
+#include "common/parse.hpp"
 #include "common/prng.hpp"
 #include "core/designer.hpp"
 #include "fault/simulator.hpp"
@@ -119,7 +120,28 @@ obs::Json bench_raw(const Fixture& fx, int blocks) {
   const std::int64_t evals =
       static_cast<std::int64_t>(topo.size()) * blocks;
 
+  // Every block's random source words are drawn before the timed loops,
+  // so the timings hold the sweeps alone and not the generator. Constants
+  // are seeded once; the sweep overwrites every gate net.
   std::vector<std::uint64_t> vals(nl.net_count());
+  Xoshiro256 rng(77);
+  seed_sources(nl, rng, vals);
+  std::vector<gate::NetId> sources;
+  for (gate::NetId id = 0; static_cast<std::size_t>(id) < nl.net_count();
+       ++id)
+    if (nl.gate(id).type == gate::GateType::kInput ||
+        nl.gate(id).type == gate::GateType::kDff)
+      sources.push_back(id);
+  std::vector<std::uint64_t> block_words(sources.size() *
+                                         static_cast<std::size_t>(blocks));
+  for (std::uint64_t& w : block_words) w = rng.next();
+  const auto load_block = [&](int b) {
+    const std::uint64_t* w =
+        block_words.data() + static_cast<std::size_t>(b) * sources.size();
+    for (std::size_t i = 0; i < sources.size(); ++i)
+      vals[static_cast<std::size_t>(sources[i])] = w[i];
+  };
+
   std::uint64_t sink_i = 0, sink_c = 0;
 
   // Min of 3 repeats per side — same noise suppression as the fault-sim
@@ -127,10 +149,9 @@ obs::Json bench_raw(const Fixture& fx, int blocks) {
   // on both sides, so identity still covers every evaluated block.
   double interp_ms = -1, compiled_ms = -1;
   for (int r = 0; r < 3; ++r) {
-    Xoshiro256 rng_i(77);
     const Clock::time_point t_i = Clock::now();
     for (int b = 0; b < blocks; ++b) {
-      seed_sources(nl, rng_i, vals);
+      load_block(b);
       gate::reference_eval(nl, topo, vals.data());
       for (gate::NetId o : nl.outputs())
         sink_i ^= vals[static_cast<std::size_t>(o)];
@@ -138,10 +159,9 @@ obs::Json bench_raw(const Fixture& fx, int blocks) {
     const double ms = ms_since(t_i);
     if (interp_ms < 0 || ms < interp_ms) interp_ms = ms;
 
-    Xoshiro256 rng_c(77);
     const Clock::time_point t_c = Clock::now();
     for (int b = 0; b < blocks; ++b) {
-      seed_sources(nl, rng_c, vals);
+      load_block(b);
       prog.run(vals.data());
       for (gate::NetId o : nl.outputs())
         sink_c ^= vals[static_cast<std::size_t>(o)];
@@ -431,27 +451,36 @@ int main(int argc, char** argv) {
   std::int64_t patterns = 8192;
   std::int64_t cycles = 512;
   int blocks = 256;
+  const auto usage = [](int code) {
+    std::cerr << "usage: bench_kernel [--out FILE] [--check]"
+                 " [--lanes scalar64|avx512]"
+                 " [--patterns N] [--cycles N] [--blocks N]\n";
+    return code;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&]() -> std::string {
       if (i + 1 >= argc) {
         std::cerr << "missing value for " << arg << "\n";
-        std::exit(64);
+        std::exit(usage(64));
       }
       return argv[++i];
+    };
+    // A malformed or non-positive count is a usage error, never a silent 0.
+    const auto count = [&]<typename T>(T& out) {
+      const std::string v = value();
+      if (!parse_number<T>(v, 1, std::numeric_limits<T>::max(), out)) {
+        std::cerr << "invalid value for " << arg << ": '" << v << "'\n";
+        std::exit(usage(64));
+      }
     };
     if (arg == "--out") out_path = value();
     else if (arg == "--check") check_only = true;
     else if (arg == "--lanes") lanes_name = value();
-    else if (arg == "--patterns") patterns = std::stoll(value());
-    else if (arg == "--cycles") cycles = std::stoll(value());
-    else if (arg == "--blocks") blocks = std::stoi(value());
-    else {
-      std::cerr << "usage: bench_kernel [--out FILE] [--check]"
-                   " [--lanes scalar64|avx512]"
-                   " [--patterns N] [--cycles N] [--blocks N]\n";
-      return arg == "--help" || arg == "-h" ? 0 : 64;
-    }
+    else if (arg == "--patterns") count(patterns);
+    else if (arg == "--cycles") count(cycles);
+    else if (arg == "--blocks") count(blocks);
+    else return usage(arg == "--help" || arg == "-h" ? 0 : 64);
   }
   const gate::LaneBackend* only = nullptr;
   if (!lanes_name.empty()) {
@@ -486,7 +515,7 @@ int main(int argc, char** argv) {
 
   obs::Json doc = obs::Json::object();
   doc["kind"] = "bibs.kernel_bench";
-  doc["version"] = 3;
+  doc["version"] = 4;
 #ifdef BIBS_NATIVE_ENABLED
   doc["native"] = true;
 #else

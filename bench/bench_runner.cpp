@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "circuits/datapaths.hpp"
+#include "common/parse.hpp"
 #include "common/prng.hpp"
 #include "core/designer.hpp"
 #include "fault/simulator.hpp"
@@ -58,14 +59,18 @@ struct Options {
   std::int64_t cycles = 1024;    // session / cstp emulated cycles
 };
 
-std::vector<int> parse_int_list(const std::string& s) {
+/// Comma-separated positive thread counts; empty on any malformed item.
+std::vector<int> parse_thread_list(const std::string& s) {
   std::vector<int> out;
   std::size_t pos = 0;
-  while (pos < s.size()) {
+  while (pos <= s.size()) {
     const std::size_t comma = s.find(',', pos);
     const std::string item =
         s.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    out.push_back(std::stoi(item));
+    int threads = 0;
+    if (!parse_number(item, 1, std::numeric_limits<int>::max(), threads))
+      return {};
+    out.push_back(threads);
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
@@ -261,32 +266,43 @@ obs::Json run_suite_section(const Options& o) {
 
 int main(int argc, char** argv) {
   Options o;
+  const auto usage = [](int code) {
+    std::cerr << "usage: bench_runner [--threads-list 1,2,4,8] [--repeat N]"
+                 " [--out FILE] [--suite-dir DIR] [--metrics-dir DIR]"
+                 " [--patterns N] [--cycles N]\n";
+    return code;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&]() -> std::string {
       if (i + 1 >= argc) {
         std::cerr << "missing value for " << arg << "\n";
-        std::exit(64);
+        std::exit(usage(64));
       }
       return argv[++i];
     };
-    if (arg == "--threads-list") o.threads_list = parse_int_list(value());
-    else if (arg == "--repeat") o.repeat = std::stoi(value());
+    // A malformed or non-positive count is a usage error, never a silent 0.
+    const auto count = [&]<typename T>(T& out) {
+      const std::string v = value();
+      if (!parse_number<T>(v, 1, std::numeric_limits<T>::max(), out)) {
+        std::cerr << "invalid value for " << arg << ": '" << v << "'\n";
+        std::exit(usage(64));
+      }
+    };
+    if (arg == "--threads-list") {
+      const std::string v = value();
+      o.threads_list = parse_thread_list(v);
+      if (o.threads_list.empty()) {
+        std::cerr << "invalid value for " << arg << ": '" << v << "'\n";
+        return usage(64);
+      }
+    } else if (arg == "--repeat") count(o.repeat);
     else if (arg == "--out") o.out = value();
     else if (arg == "--suite-dir") o.suite_dir = value();
     else if (arg == "--metrics-dir") o.metrics_dir = value();
-    else if (arg == "--patterns") o.patterns = std::stoll(value());
-    else if (arg == "--cycles") o.cycles = std::stoll(value());
-    else {
-      std::cerr << "usage: bench_runner [--threads-list 1,2,4,8] [--repeat N]"
-                   " [--out FILE] [--suite-dir DIR] [--metrics-dir DIR]"
-                   " [--patterns N] [--cycles N]\n";
-      return arg == "--help" || arg == "-h" ? 0 : 64;
-    }
-  }
-  if (o.threads_list.empty() || o.repeat < 1) {
-    std::cerr << "invalid --threads-list / --repeat\n";
-    return 64;
+    else if (arg == "--patterns") count(o.patterns);
+    else if (arg == "--cycles") count(o.cycles);
+    else return usage(arg == "--help" || arg == "-h" ? 0 : 64);
   }
 
   obs::Json doc = obs::Json::object();

@@ -244,10 +244,17 @@ SessionReport BistSession::run(const fault::FaultList& faults,
                        .subspan(base, batch),
                    fb.backend, model_);
 
-    std::vector<std::vector<lfsr::Misr>> misr;
-    for (const gate::Bus& b : output_d_)
-      misr.emplace_back(batch + 1, lfsr::Misr(lfsr::primitive_polynomial(
-                                       static_cast<int>(b.size()))));
+    // One lane-sliced MISR per output register, fed straight from the
+    // engine's value words of its D nets (lane l at word l/64, bit l%64;
+    // lane 0 is the fault-free machine).
+    std::vector<lfsr::LaneMisr> misr;
+    std::vector<std::vector<const std::uint64_t*>> misr_in;
+    for (const gate::Bus& b : output_d_) {
+      misr.emplace_back(
+          lfsr::primitive_polynomial(static_cast<int>(b.size())), fb.words);
+      auto& in = misr_in.emplace_back();
+      for (NetId net : b) in.push_back(eng.value_words(net));
+    }
 
     std::vector<std::uint64_t> out_diff_seen(fb.words, 0);
     for (std::int64_t t = 0; t < cycles; ++t) {
@@ -270,18 +277,8 @@ SessionReport BistSession::run(const fault::FaultList& faults,
       eng.eval();
 
       for (std::size_t oi = 0; oi < output_d_.size(); ++oi) {
-        const gate::Bus& b = output_d_[oi];
-        // Lane l lives in word l/64 bit l%64 of the engine's W-strided
-        // values; lane 0 is the fault-free machine.
-        for (std::size_t lane = 0; lane <= batch; ++lane) {
-          BitVec word(b.size());
-          for (std::size_t j = 0; j < b.size(); ++j)
-            word.set(j, (eng.value_words(b[j])[lane >> 6] >> (lane & 63)) &
-                            1u);
-          misr[oi][lane].step(word);
-        }
-        for (std::size_t j = 0; j < b.size(); ++j) {
-          const std::uint64_t* vw = eng.value_words(b[j]);
+        misr[oi].step(misr_in[oi]);
+        for (const std::uint64_t* vw : misr_in[oi]) {
           const std::uint64_t gold = (vw[0] & 1u) ? ~0ull : 0ull;
           for (std::size_t w = 0; w < fb.words; ++w)
             out_diff_seen[w] |= vw[w] ^ gold;
@@ -310,20 +307,21 @@ SessionReport BistSession::run(const fault::FaultList& faults,
       }
     }
 
+    std::vector<std::uint64_t> sig_diff(fb.words, 0);
+    out.golden.resize(output_d_.size());
+    for (std::size_t oi = 0; oi < output_d_.size(); ++oi) {
+      const std::vector<std::uint64_t> d =
+          misr[oi].lanes_differing_from_lane0();
+      for (std::size_t w = 0; w < fb.words; ++w) sig_diff[w] |= d[w];
+      out.golden[oi] = misr[oi].signature(0);
+    }
     out.det_out.assign(batch, 0);
     out.det_sig.assign(batch, 0);
     for (std::size_t k = 0; k < batch; ++k) {
-      if ((out_diff_seen[(k + 1) >> 6] >> ((k + 1) & 63)) & 1u)
-        out.det_out[k] = 1;
-      for (std::size_t oi = 0; oi < output_d_.size(); ++oi)
-        if (misr[oi][k + 1].signature() != misr[oi][0].signature()) {
-          out.det_sig[k] = 1;
-          break;
-        }
+      const std::size_t lane = k + 1;
+      out.det_out[k] = (out_diff_seen[lane >> 6] >> (lane & 63)) & 1u;
+      out.det_sig[k] = (sig_diff[lane >> 6] >> (lane & 63)) & 1u;
     }
-    out.golden.resize(output_d_.size());
-    for (std::size_t oi = 0; oi < output_d_.size(); ++oi)
-      out.golden[oi] = misr[oi][0].signature();
     out.completed = true;
   };
 

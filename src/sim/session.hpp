@@ -7,11 +7,13 @@
 // sim::LaneEngine: lane 0 carries the fault-free machine, lanes 1..L-1
 // carry machines with one injected stuck-at fault each, where L is the
 // pattern-lane count of the gate::LaneBackend the batches run on (64 on
-// scalar64, 512 on avx512; see set_batch_lanes). Detection is judged on
-// final MISR signatures, so signature aliasing is modelled (and measured)
-// rather than assumed away. Reports are identical at every width — each
-// fault's lane evolves independently of its batch neighbours — but
-// checkpoints record the batch size and only resume at the same width.
+// scalar64, 512 on avx512; see set_batch_lanes). Signatures are compacted
+// lane-sliced: one lfsr::LaneMisr per output register steps all L lanes
+// at once on the engine's value words. Detection is judged on final MISR
+// signatures, so signature aliasing is modelled (and measured) rather than
+// assumed away. Reports are identical at every width — each fault's lane
+// evolves independently of its batch neighbours — but checkpoints record
+// the batch size and only resume at the same width.
 //
 // Multi-threading (set_threads / BIBS_THREADS): the (L-1)-fault batches are
 // independent whole-session reruns, so they dispatch to pool workers as

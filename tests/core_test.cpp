@@ -195,6 +195,12 @@ struct Table2Row {
   int bibs_delay, ka_delay;
 };
 
+// Prints a row as its circuit, which names the ctest case
+// (Paper/Table2Structure.MatchesPaper/c5a2m). gtest's default printer
+// dumps the row's raw bytes, pointer included, so the names changed on
+// every build.
+void PrintTo(const Table2Row& row, std::ostream* os) { *os << row.circuit; }
+
 class Table2Structure : public ::testing::TestWithParam<Table2Row> {};
 
 TEST_P(Table2Structure, MatchesPaper) {

@@ -245,6 +245,82 @@ TEST(Misr, AliasingRateNearTwoToMinusN) {
   EXPECT_LT(aliased, 30);  // ~2000/256 = 7.8 expected
 }
 
+// Lane-sliced vs scalar: W*64 independent Misrs fed the same random
+// responses must give LaneMisr's per-lane signatures and its
+// differs-from-lane-0 mask. One lane in the last word carries lane 0's
+// response XOR an error stream that cancels inside the register (a stage-1
+// error, then the one error word that returns the difference state to
+// zero), so it aliases: its mask bit must clear and Misr must agree.
+void expect_lane_misr_matches_misr(int degree, std::size_t words) {
+  SCOPED_TRACE("degree " + std::to_string(degree) + ", W " +
+               std::to_string(words));
+  const Gf2Poly p = primitive_polynomial(degree);
+  const std::size_t n = static_cast<std::size_t>(degree);
+  const std::size_t lanes = words * 64;
+  const std::size_t alias_lane = lanes - 3;
+  const int cycles = 300;
+
+  std::vector<BitVec> err(cycles, BitVec(n));
+  err[10].set(0, true);
+  Misr diff(p);
+  for (int t = 0; t < cycles; ++t) {
+    if (t == 13 + degree) {
+      Misr next = diff;
+      next.step(BitVec(n));
+      err[static_cast<std::size_t>(t)] = next.state();
+    }
+    diff.step(err[static_cast<std::size_t>(t)]);
+  }
+  ASSERT_TRUE(diff.state().none());
+
+  const auto bit = [](const std::uint64_t* w, std::size_t lane) {
+    return ((w[lane >> 6] >> (lane & 63)) & 1u) != 0;
+  };
+  LaneMisr lane_misr(p, words);
+  std::vector<Misr> ref(lanes, Misr(p));
+  std::vector<std::uint64_t> in(n * words);
+  std::vector<const std::uint64_t*> rows(n);
+  for (std::size_t i = 0; i < n; ++i) rows[i] = in.data() + i * words;
+  bibs::Xoshiro256 rng(static_cast<std::uint64_t>(degree) * 131 + words);
+  for (int t = 0; t < cycles; ++t) {
+    for (std::uint64_t& x : in) x = rng.next();
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t& w = in[i * words + (alias_lane >> 6)];
+      const bool v = bit(rows[i], 0) ^ err[static_cast<std::size_t>(t)].get(i);
+      w = (w & ~(1ull << (alias_lane & 63))) |
+          (static_cast<std::uint64_t>(v) << (alias_lane & 63));
+    }
+    lane_misr.step(rows);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      BitVec v(n);
+      for (std::size_t i = 0; i < n; ++i) v.set(i, bit(rows[i], l));
+      ref[l].step(v);
+    }
+  }
+
+  const std::vector<std::uint64_t> differs =
+      lane_misr.lanes_differing_from_lane0();
+  ASSERT_EQ(differs.size(), words);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    EXPECT_EQ(lane_misr.signature(l), ref[l].signature()) << "lane " << l;
+    EXPECT_EQ(bit(differs.data(), l),
+              ref[l].signature() != ref[0].signature())
+        << "lane " << l;
+  }
+  EXPECT_EQ(ref[alias_lane].signature(), ref[0].signature());
+  EXPECT_FALSE(bit(differs.data(), alias_lane));
+}
+
+TEST(LaneMisr, MatchesScalarMisrPerLaneOneWord) {
+  for (int degree : {1, 8, 12, 33, 64})
+    expect_lane_misr_matches_misr(degree, 1);
+}
+
+TEST(LaneMisr, MatchesScalarMisrPerLaneEightWords) {
+  for (int degree : {1, 8, 12, 33, 64})
+    expect_lane_misr_matches_misr(degree, 8);
+}
+
 TEST(Bilbo, NormalModeLoadsParallel) {
   Bilbo b(8);
   b.set_mode(BilboMode::kNormal);

@@ -7,6 +7,7 @@
 #include "circuits/datapaths.hpp"
 #include "circuits/figures.hpp"
 #include "core/designer.hpp"
+#include "gate/lanes.hpp"
 #include "sim/session.hpp"
 
 namespace bibs::sim {
@@ -167,6 +168,80 @@ TEST(BistSession, AliasingIsRareAcrossSeeds) {
   }
   EXPECT_GT(total, 0u);
   EXPECT_LE(aliased * 8, total);  // < 12.5% with 4-bit MISRs
+}
+
+// FNV-1a over a checkpoint's per-fault detection flags: pins the whole
+// vector (which faults, not just how many) in one literal.
+std::uint64_t flags_hash(const std::vector<std::uint8_t>& flags) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (std::uint8_t f : flags) {
+    h ^= f;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// 256-cycle session on the design's first non-trivial kernel.
+struct Pinned {
+  SessionReport rep;
+  rt::SessionCheckpoint ck;
+};
+
+Pinned pinned_run(const rtl::Netlist& netlist, fault::FaultModel model,
+                  int lanes) {
+  Rig s = make(netlist);
+  BistSession session(s.n, s.elab, s.design.bilbo, s.kernels.at(0));
+  session.set_fault_model(model);
+  session.set_batch_lanes(lanes);
+  const fault::FaultList faults = model == fault::FaultModel::kTransition
+                                      ? session.kernel_transition_faults()
+                                      : session.kernel_faults();
+  Pinned p;
+  p.rep = session.run(faults, 256, {}, nullptr, &p.ck);
+  return p;
+}
+
+TEST(BistSession, SignaturesMatchValuesPinnedFromScalarMisr) {
+  // Literals recorded from the per-lane scalar lfsr::Misr compaction the
+  // session used before it compacted lane-sliced. They pin the golden
+  // signatures and *which* faults each signature caught, at 64-lane
+  // batches and at the active backend's width.
+  struct Case {
+    const char* name;
+    rtl::Netlist n;
+    fault::FaultModel model;
+    std::vector<std::uint64_t> golden;
+    std::size_t faults, at_outputs, by_signature;
+    std::uint64_t sig_flags_hash;
+  };
+  const Case cases[] = {
+      {"fig2(4)", circuits::make_fig2(4), fault::FaultModel::kStuckAt,
+       {0xb}, 16, 16, 16, 0xdeddcdeb4df58075ull},
+      {"c5a2m", circuits::make_c5a2m(), fault::FaultModel::kStuckAt,
+       {0x80}, 1887, 1882, 1876, 0xad2f9f7a3f5467bbull},
+      {"c3a2m", circuits::make_c3a2m(), fault::FaultModel::kStuckAt,
+       {0x93}, 1717, 1710, 1703, 0x5cc82da64904722cull},
+      {"c4a4m", circuits::make_c4a4m(), fault::FaultModel::kStuckAt,
+       {0x2c, 0xae}, 2824, 2820, 2807, 0x49acd255f6cfea7eull},
+      {"c5a2m transition", circuits::make_c5a2m(),
+       fault::FaultModel::kTransition, {0x80}, 1084, 1084, 1083,
+       0x94f443a172402c84ull},
+  };
+  std::vector<int> widths{64};
+  if (gate::active_lane_backend().lanes != 64)
+    widths.push_back(gate::active_lane_backend().lanes);
+  for (const Case& c : cases) {
+    for (int lanes : widths) {
+      SCOPED_TRACE(std::string(c.name) + " at " + std::to_string(lanes) +
+                   " lanes");
+      const Pinned p = pinned_run(c.n, c.model, lanes);
+      EXPECT_EQ(p.rep.golden_signatures, c.golden);
+      EXPECT_EQ(p.rep.total_faults, c.faults);
+      EXPECT_EQ(p.rep.detected_at_outputs, c.at_outputs);
+      EXPECT_EQ(p.rep.detected_by_signature, c.by_signature);
+      EXPECT_EQ(flags_hash(p.ck.detected_by_signature), c.sig_flags_hash);
+    }
+  }
 }
 
 }  // namespace
