@@ -7,13 +7,13 @@
 //              gate::reference_eval on identical random source words.
 //   backends   the lane-width matrix: every compiled-in, CPU-supported
 //              gate::LaneBackend (scalar64/avx512) sweeping W*64
-//              pattern lanes per block — raw Mpatterns/s plus single-thread
-//              PPSFP fault simulation, each gated on bit-identity with the
-//              scalar64 golden backend. The SIMD acceptance criterion lives
-//              here: the widest supported backend must sweep >= 2x the raw
-//              scalar64 throughput.
-//   fault_sim  single-thread PPSFP wall time of FaultSimulator pinned to
-//              scalar64, gated on the 4-thread curve matching the serial one.
+//              pattern lanes per block — raw Mpatterns/s, gated on
+//              bit-identity with the scalar64 golden backend. The SIMD
+//              acceptance criterion lives here: the widest supported backend
+//              must sweep >= 2x the raw scalar64 throughput.
+//   fault_sim  single-thread PPSFP wall time of FaultSimulator (always
+//              64-pattern scalar blocks), gated on the 4-thread curve
+//              matching the serial one.
 //
 // Every measurement doubles as an identity gate: detected_at curves, MISR
 // signatures, checkpoints, 1-vs-4-thread and wide-vs-64-lane session
@@ -219,14 +219,13 @@ bool raw_slice_identity(const gate::Netlist& nl, const gate::EvalProgram& prog,
   return true;
 }
 
-/// The lane-width matrix: per-backend raw sweep throughput and single-thread
-/// fault-sim wall time, each gated on bit-identity with scalar64. `only`
-/// (when non-null) restricts the matrix to scalar64 + that backend.
-obs::Json bench_backends(const Fixture& fx, std::int64_t patterns, int blocks,
-                         bool measure, const gate::LaneBackend* only) {
+/// The lane-width matrix: per-backend raw sweep throughput, gated on
+/// bit-identity with scalar64. `only` (when non-null) restricts the matrix
+/// to scalar64 + that backend.
+obs::Json bench_backends(const Fixture& fx, int blocks, bool measure,
+                         const gate::LaneBackend* only) {
   const gate::Netlist& nl = fx.kernel;
   const gate::EvalProgram prog(nl);
-  const fault::FaultList faults = fault::FaultList::collapsed(nl);
   const gate::LaneBackend* scalar = &gate::scalar_lane_backend();
 
   // Raw W*64-lane sweep wall time (min of 3 repeats). Sources are seeded
@@ -259,27 +258,7 @@ obs::Json bench_backends(const Fixture& fx, std::int64_t patterns, int blocks,
     return best;
   };
 
-  const auto fault_run = [&](const gate::LaneBackend* lb, double* wall_ms) {
-    fault::FaultSimulator sim(nl, faults);
-    sim.set_lane_backend(lb);
-    Xoshiro256 rng(1994);
-    const Clock::time_point t0 = Clock::now();
-    fault::CoverageCurve c = sim.run_random(
-        rng, patterns, std::numeric_limits<std::int64_t>::max());
-    if (wall_ms) *wall_ms = ms_since(t0);
-    return c;
-  };
-
-  double scalar_raw_ms = raw_ms_for(scalar);
-  double scalar_fs_ms = 0;
-  const fault::CoverageCurve base = fault_run(scalar, &scalar_fs_ms);
-  if (measure) {
-    for (int r = 1; r < 3; ++r) {
-      double ms = 0;
-      fault_run(scalar, &ms);
-      scalar_fs_ms = std::min(scalar_fs_ms, ms);
-    }
-  }
+  const double scalar_raw_ms = raw_ms_for(scalar);
 
   obs::Json rows = obs::Json::array();
   const gate::LaneBackend* widest = scalar;
@@ -312,33 +291,12 @@ obs::Json bench_backends(const Fixture& fx, std::int64_t patterns, int blocks,
             ? (lb->lanes / raw_ms) / (64.0 / scalar_raw_ms)
             : 0.0;
 
-    double fs_ms = lb == scalar ? scalar_fs_ms : 0;
-    fault::CoverageCurve curve = base;
-    if (lb != scalar) {
-      curve = fault_run(lb, &fs_ms);
-      if (measure) {
-        for (int r = 1; r < 3; ++r) {
-          double ms = 0;
-          fault_run(lb, &ms);
-          fs_ms = std::min(fs_ms, ms);
-        }
-      }
-      gate_check(curve.detected_at == base.detected_at,
-                 std::string("fault-sim detected_at identical (") + lb->name +
-                     " vs scalar64)");
-    }
-
     row["raw_ms"] = raw_ms;
     row["raw_mpatterns_per_s"] = mpat_s;
     row["raw_speedup_vs_scalar64"] = raw_tp_speedup;
-    row["fault_sim_ms"] = fs_ms;
-    row["fault_sim_speedup_vs_scalar64"] =
-        fs_ms > 0 ? scalar_fs_ms / fs_ms : 0.0;
-    row["coverage"] = curve.coverage();
     rows.push_back(std::move(row));
     std::cerr << "  backend " << lb->name << ": raw " << raw_ms << " ms ("
-              << mpat_s << " Mpat/s, " << raw_tp_speedup
-              << "x scalar64), fault_sim " << fs_ms << " ms\n";
+              << mpat_s << " Mpat/s, " << raw_tp_speedup << "x scalar64)\n";
     if (lb->words > widest->words) {
       widest = lb;
       widest_raw_speedup = raw_tp_speedup;
@@ -355,8 +313,7 @@ obs::Json bench_backends(const Fixture& fx, std::int64_t patterns, int blocks,
   return rows;
 }
 
-/// Single-thread PPSFP wall time on the scalar64 lane backend (the SIMD
-/// matrix has its own gates in bench_backends), plus the 1-vs-4-thread
+/// Single-thread PPSFP wall time (min of 3 repeats), plus the 1-vs-4-thread
 /// curve identity gate.
 obs::Json bench_fault_sim(const Fixture& fx, std::int64_t patterns,
                           bool measure) {
@@ -364,7 +321,6 @@ obs::Json bench_fault_sim(const Fixture& fx, std::int64_t patterns,
 
   const auto run = [&](int threads, double* wall_ms) {
     fault::FaultSimulator sim(fx.kernel, faults);
-    sim.set_lane_backend(&gate::scalar_lane_backend());
     sim.set_threads(threads);
     Xoshiro256 rng(1994);
     const Clock::time_point t0 = Clock::now();
@@ -515,7 +471,7 @@ int main(int argc, char** argv) {
 
   obs::Json doc = obs::Json::object();
   doc["kind"] = "bibs.kernel_bench";
-  doc["version"] = 4;
+  doc["version"] = 5;
 #ifdef BIBS_NATIVE_ENABLED
   doc["native"] = true;
 #else
@@ -526,7 +482,7 @@ int main(int argc, char** argv) {
   doc["active_lanes"] = gate::active_lane_backend().name;
 
   if (!check_only) doc["raw"] = bench_raw(fx, blocks);
-  doc["backends"] = bench_backends(fx, patterns, blocks, !check_only, only);
+  doc["backends"] = bench_backends(fx, blocks, !check_only, only);
   doc["fault_sim"] = bench_fault_sim(fx, patterns, !check_only);
   doc["session"] = bench_session(fx, cycles);
 

@@ -37,6 +37,7 @@
 #include "obs/report.hpp"
 #include "par/pool.hpp"
 #include "sim/cstp.hpp"
+#include "sim/lane_engine.hpp"
 #include "sim/session.hpp"
 
 namespace {
@@ -82,6 +83,8 @@ std::vector<int> parse_thread_list(const std::string& s) {
 struct ParallelBench {
   std::string name;
   std::string work_unit;
+  // The lane backend the workload runs on, as reported in its rows.
+  std::string lane_backend;
   std::function<std::pair<std::int64_t, std::string>(int threads)> run;
 };
 
@@ -122,22 +125,26 @@ std::string fingerprint(const std::vector<std::int64_t>& v) {
 
 std::vector<ParallelBench> make_benches(const Fixture& fx, const Options& o) {
   std::vector<ParallelBench> benches;
+  // Fault simulation always runs 64-pattern scalar blocks; the sessions
+  // batch faults on the process-wide backend (no bench pins a width).
+  const std::string batch_backend = sim::fault_batching(0).backend->name;
 
   benches.push_back(
-      {"coverage_curve", "patterns", [&fx, &o](int threads) {
+      {"coverage_curve", "patterns", gate::scalar_lane_backend().name,
+       [&fx, &o](int threads) {
          fault::FaultSimulator sim(fx.kernel,
                                    fault::FaultList::collapsed(fx.kernel));
          sim.set_threads(threads);
          Xoshiro256 rng(1994);
          const fault::CoverageCurve c = sim.run_random(
              rng, o.patterns, std::numeric_limits<std::int64_t>::max());
-         return std::pair<std::int64_t, std::string>(c.patterns_run,
-                                                     fingerprint(c.detected_at));
+         return std::pair<std::int64_t, std::string>(
+             c.patterns_run, fingerprint(c.detected_at));
        }});
 
   if (fx.first_kernel) {
     benches.push_back(
-        {"session", "cycles", [&fx, &o](int threads) {
+        {"session", "cycles", batch_backend, [&fx, &o](int threads) {
            sim::BistSession session(fx.n, fx.elab, fx.design.bilbo,
                                     *fx.first_kernel);
            session.set_threads(threads);
@@ -156,7 +163,7 @@ std::vector<ParallelBench> make_benches(const Fixture& fx, const Options& o) {
   }
 
   benches.push_back(
-      {"cstp", "cycles", [&fx, &o](int threads) {
+      {"cstp", "cycles", batch_backend, [&fx, &o](int threads) {
          sim::CstpSession cstp(fx.elab.netlist);
          cstp.set_threads(threads);
          const fault::FaultList faults =
@@ -204,8 +211,7 @@ obs::Json run_parallel_section(const Options& o) {
       row["wall_ms"] = best;
       row["work"] = work;
       row["work_unit"] = bench.work_unit;
-      // No bench pins a width, so each ran on the process-wide backend.
-      row["lane_backend"] = gate::active_lane_backend().name;
+      row["lane_backend"] = bench.lane_backend;
       row["work_per_s"] =
           best > 0 ? static_cast<double>(work) / (best / 1000.0) : 0.0;
       row["speedup_vs_1t"] = best > 0 ? wall_1t / best : 0.0;

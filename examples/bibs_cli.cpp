@@ -3,6 +3,8 @@
 //
 //   bibs_cli <file> [--tdm bibs|ka85|scan] [--cap <cycles>]
 //
+// A malformed or unknown argument exits 2 through the usage line.
+//
 // The file format is chosen by extension: .edif / .sexp (S-expression form),
 // anything else the line format. Without arguments it runs on a built-in
 // sample (the c3a2m filter data path).
@@ -10,9 +12,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "circuits/datapaths.hpp"
+#include "common/parse.hpp"
 #include "core/designer.hpp"
 #include "core/report.hpp"
 #include "gate/synth.hpp"
@@ -22,6 +26,11 @@
 
 namespace {
 
+int usage() {
+  std::cerr << "usage: bibs_cli [file] [--tdm bibs|ka85|scan] [--cap CYCLES]\n";
+  return 2;
+}
+
 int run(int argc, char** argv) {
   using namespace bibs;
   std::string path;
@@ -29,9 +38,25 @@ int run(int argc, char** argv) {
   std::uint64_t cap = 8192;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--tdm" && i + 1 < argc) tdm = argv[++i];
-    else if (arg == "--cap" && i + 1 < argc) cap = std::stoull(argv[++i]);
-    else path = arg;
+    const bool has_value = i + 1 < argc;
+    if (arg == "--tdm" && has_value) {
+      tdm = argv[++i];
+      if (tdm != "bibs" && tdm != "ka85" && tdm != "scan") {
+        std::cerr << "invalid value '" << tdm << "' for --tdm\n";
+        return usage();
+      }
+    } else if (arg == "--cap" && has_value) {
+      if (!parse_number<std::uint64_t>(
+              argv[++i], 1, std::numeric_limits<std::uint64_t>::max(), cap)) {
+        std::cerr << "invalid value '" << argv[i] << "' for --cap\n";
+        return usage();
+      }
+    } else if (path.empty() && !arg.starts_with("-")) {
+      path = arg;
+    } else {
+      std::cerr << "unknown argument '" << arg << "'\n";
+      return usage();
+    }
   }
 
   rtl::Netlist n;

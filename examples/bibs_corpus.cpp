@@ -14,7 +14,9 @@
 //               [--unit-budget N] [--no-sessions] [--no-checks]
 //
 // Numeric flags must be whole decimal numbers in range; --lanes accepts
-// 0 (widest supported backend), 64 (scalar64) or 512 (avx512).
+// 0 (widest supported backend), 64 (scalar64) or 512 (avx512) and sets the
+// BIST session batch width only (fault simulation always runs 64-pattern
+// blocks). --help / -h prints the usage line to stdout and exits 0.
 //
 // Exit status: 0 table written (and matching the golden when --diff was
 // given); 1 a --diff mismatch or an oracle failure; 2 usage error;
@@ -56,19 +58,22 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-int usage() {
-  std::cerr
-      << "usage: bibs_corpus [--tier1|--quick|--full] [--circuits a,b,c]\n"
-         "                   [--models stuck_at,transition]"
-         " [--max-patterns N]\n"
-         "                   [--budgets n1,n2,...] [--seed S] [--threads T]"
-         " [--lanes L]\n"
-         "                   [--data DIR] [--out PATH] [--timing PATH]\n"
-         "                   [--checkpoint PATH] [--diff GOLDEN]"
-         " [--deadline-ms N]\n"
-         "                   [--unit-budget N] [--no-sessions]"
-         " [--no-checks]\n";
-  return 2;
+/// Prints the usage line to `os`; returns `code` (2 = usage error, 0 for an
+/// explicit --help).
+int usage(std::ostream& os = std::cerr, int code = 2) {
+  os << "usage: bibs_corpus [--tier1|--quick|--full] [--circuits a,b,c]\n"
+        "                   [--models stuck_at,transition]"
+        " [--max-patterns N]\n"
+        "                   [--budgets n1,n2,...] [--seed S] [--threads T]"
+        " [--lanes L]\n"
+        "                   [--data DIR] [--out PATH] [--timing PATH]\n"
+        "                   [--checkpoint PATH] [--diff GOLDEN]"
+        " [--deadline-ms N]\n"
+        "                   [--unit-budget N] [--no-sessions]"
+        " [--no-checks] [--help]\n"
+        "--lanes sets the BIST session batch width only; fault simulation\n"
+        "always runs 64-pattern blocks.\n";
+  return code;
 }
 
 int bad_value(const std::string& flag, const std::string& value) {
@@ -144,6 +149,8 @@ int run(int argc, char** argv) {
       opt.sweep.run_sessions = false;
     } else if (arg == "--no-checks") {
       opt.sweep.run_checks = false;
+    } else if (arg == "--help" || arg == "-h") {
+      return usage(std::cout, 0);
     } else {
       std::cerr << "unknown argument '" << arg << "'\n";
       return usage();

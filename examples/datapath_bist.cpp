@@ -12,10 +12,15 @@
 // real BIST schedule we run a truncated pseudo-random session and measure
 // the coverage it buys.
 
+#include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <string>
 
 #include "circuits/datapaths.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "core/designer.hpp"
 #include "core/report.hpp"
@@ -27,21 +32,43 @@
 
 namespace {
 
+int usage() {
+  std::cerr << "usage: datapath_bist [--threads N] [--deadline-ms N]\n";
+  return 2;
+}
+
 int run(int argc, char** argv) {
   using namespace bibs;
 
   // --deadline-ms N bounds every simulated session by wall-clock time; a
   // session that runs out prints its (partial) coverage and the reason.
-  // --threads N runs the 63-fault session batches on N workers (results are
-  // bit-identical for any count; 0/default resolves BIBS_THREADS).
+  // --threads N runs the session fault batches on N workers (results are
+  // bit-identical for any count; 0/default resolves BIBS_THREADS). A
+  // malformed value or an unknown argument exits 2 through the usage line.
+  // One year: keeps now() + the deadline inside steady_clock's range.
+  constexpr std::int64_t kMaxDeadlineMs = 365LL * 24 * 3600 * 1000;
   rt::RunControl ctl;
   int threads = 0;
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--deadline-ms" && i + 1 < argc)
-      ctl.deadline =
-          rt::Deadline::in(std::chrono::milliseconds(std::atoll(argv[++i])));
-    else if (std::string(argv[i]) == "--threads" && i + 1 < argc)
-      threads = std::atoi(argv[++i]);
+    const std::string arg = argv[i];
+    const bool has_value = i + 1 < argc;
+    if (arg == "--deadline-ms" && has_value) {
+      std::int64_t ms = 0;
+      if (!parse_number<std::int64_t>(argv[++i], 0, kMaxDeadlineMs, ms)) {
+        std::cerr << "invalid value '" << argv[i] << "' for " << arg << "\n";
+        return usage();
+      }
+      ctl.deadline = rt::Deadline::in(std::chrono::milliseconds(ms));
+    } else if (arg == "--threads" && has_value) {
+      if (!parse_number<int>(argv[++i], 0, std::numeric_limits<int>::max(),
+                             threads)) {
+        std::cerr << "invalid value '" << argv[i] << "' for " << arg << "\n";
+        return usage();
+      }
+    } else {
+      std::cerr << "unknown argument '" << arg << "'\n";
+      return usage();
+    }
   }
 
   const rtl::Netlist n = circuits::make_c5a2m();

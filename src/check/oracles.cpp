@@ -9,7 +9,6 @@
 #include "fault/fault.hpp"
 #include "fault/simulator.hpp"
 #include "gate/bench_format.hpp"
-#include "gate/lanes.hpp"
 #include "gate/program.hpp"
 #include "rt/checkpoint.hpp"
 #include "rt/control.hpp"
@@ -55,15 +54,9 @@ bool interface_mismatch(const Netlist& rv, const Netlist& iv, Verdict& v,
 }
 
 CoverageCurve run_curve(const Netlist& view, const FaultList& fl,
-                        int threads, std::uint64_t seed, std::int64_t patterns,
-                        const gate::LaneBackend* lanes = nullptr) {
+                        int threads, std::uint64_t seed,
+                        std::int64_t patterns) {
   FaultSimulator sim(view, fl);
-  // Pinned to scalar64 unless an oracle asks for a wider backend:
-  // patterns_run depends on the block width when a run ends mid-block, and
-  // curve_verdict compares it, so both sides of an identity must run the
-  // same width. lane_curve_identity is the oracle that crosses widths (and
-  // skips the patterns_run comparison).
-  sim.set_lane_backend(lanes ? lanes : &gate::scalar_lane_backend());
   sim.set_threads(threads);
   Xoshiro256 rng(seed);
   return sim.run_random(rng, patterns);
@@ -74,8 +67,7 @@ CoverageCurve run_curve(const Netlist& view, const FaultList& fl,
 Verdict curve_verdict(const std::string& name, const OracleContext& ctx,
                       const Netlist& iv, const FaultList& flr,
                       const FaultList& fli, const CoverageCurve& cr,
-                      const CoverageCurve& ci,
-                      bool compare_patterns_run = true) {
+                      const CoverageCurve& ci) {
   Verdict v;
   v.oracle = name;
   if (flr.size() != fli.size()) {
@@ -88,7 +80,7 @@ Verdict curve_verdict(const std::string& name, const OracleContext& ctx,
     return v;
   }
   const std::ptrdiff_t k = cr.first_difference(ci);
-  if (k < 0 && (!compare_patterns_run || cr.patterns_run == ci.patterns_run)) {
+  if (k < 0 && cr.patterns_run == ci.patterns_run) {
     v.pass = true;
     v.detail = std::to_string(cr.patterns_run) + " patterns, " +
                std::to_string(flr.size()) + " faults, coverage " +
@@ -246,7 +238,6 @@ Verdict checkpoint_splice_identity(const OracleContext& ctx) {
   const CoverageCurve straight = run_curve(rv, flr, 1, ctx.seed, ctx.patterns);
 
   FaultSimulator first(iv, fli);
-  first.set_lane_backend(&gate::scalar_lane_backend());
   first.set_threads(1);
   Xoshiro256 rng(ctx.seed);
   rt::RunControl ctl;
@@ -257,7 +248,6 @@ Verdict checkpoint_splice_identity(const OracleContext& ctx) {
   if (partial.status != rt::RunStatus::kFinished) {
     const rt::SimCheckpoint ckpt = first.make_checkpoint(partial, &rng);
     FaultSimulator second(iv, fli);
-    second.set_lane_backend(&gate::scalar_lane_backend());
     second.set_threads(1);
     Xoshiro256 rng2(ctx.seed + 1);  // overwritten from the checkpoint
     spliced = second.run_random(rng2, ctx.patterns,
@@ -267,33 +257,12 @@ Verdict checkpoint_splice_identity(const OracleContext& ctx) {
   return curve_verdict(v.oracle, ctx, iv, flr, fli, straight, spliced);
 }
 
-Verdict lane_curve_identity(const OracleContext& ctx) {
-  Verdict v;
-  v.oracle = "lane_curve_identity";
-  const Netlist rv = combinational_view(*ctx.ref);
-  const Netlist iv = combinational_view(*ctx.impl);
-  if (interface_mismatch(rv, iv, v, ctx)) return v;
-  const FaultList flr = FaultList::full(rv);
-  const FaultList fli = FaultList::full(iv);
-  if (flr.size() != fli.size() || flr.size() == 0)
-    return curve_verdict(v.oracle, ctx, iv, flr, fli, {}, {});
-  const CoverageCurve cr = run_curve(rv, flr, 1, ctx.seed, ctx.patterns);
-  const gate::LaneBackend& wide = gate::active_lane_backend();
-  const CoverageCurve ci = run_curve(iv, fli, 1, ctx.seed, ctx.patterns, &wide);
-  Verdict out = curve_verdict(v.oracle, ctx, iv, flr, fli, cr, ci,
-                              /*compare_patterns_run=*/false);
-  if (out.pass)
-    out.detail += " (scalar64 vs " + std::string(wide.name) + ")";
-  return out;
-}
-
 const std::vector<Oracle>& standard_oracles() {
   static const std::vector<Oracle> kOracles = {
       {"eval_identity", eval_identity},
       {"miter_equivalence", miter_equivalence},
       {"thread_curve_identity", thread_curve_identity},
       {"checkpoint_splice_identity", checkpoint_splice_identity},
-      {"lane_curve_identity", lane_curve_identity},
   };
   return kOracles;
 }

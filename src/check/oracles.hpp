@@ -6,7 +6,7 @@
 //
 //   * ref == impl: a self-check of the engine contracts (compiled kernel ==
 //     gate-by-gate reference sweep, N threads == serial, checkpoint splice
-//     == straight run, wide lanes == scalar64, miter self-equivalence);
+//     == straight run, miter self-equivalence);
 //   * impl = mutant(ref): a sensitivity check — the oracle must FAIL, which
 //     is how the mutation smoke harness (check/mutate.hpp) verifies that the
 //     oracles themselves have teeth.
@@ -63,12 +63,6 @@ Verdict thread_curve_identity(const OracleContext& ctx);
 /// Straight run on ref == run k patterns on impl, checkpoint, resume on a
 /// fresh simulator (the splice identity of PR 2).
 Verdict checkpoint_splice_identity(const OracleContext& ctx);
-
-/// Active-lane-backend (possibly SIMD-wide) curve of impl == scalar64 curve
-/// of ref. Compares detected_at only: patterns_run legitimately differs
-/// across widths when every fault is detected (or the run stalls) inside a
-/// wide block. A no-op self-check when the host resolves to scalar64.
-Verdict lane_curve_identity(const OracleContext& ctx);
 
 /// The standard suite, in the order above.
 const std::vector<Oracle>& standard_oracles();

@@ -115,8 +115,7 @@ rt::RunControl inner_ctl(const rt::RunControl& ctl) {
 /// One (circuit, model) fault-simulation row. Returns a null Json when the
 /// run was interrupted (status is propagated through `status`).
 obs::Json run_model(const UnitCircuit& u, fault::FaultModel model,
-                    const SweepOptions& opt, const gate::LaneBackend* lb,
-                    rt::RunStatus& status) {
+                    const SweepOptions& opt, rt::RunStatus& status) {
   fault::FaultList fl = model == fault::FaultModel::kStuckAt
                             ? fault::FaultList::collapsed(u.comb)
                             : fault::FaultList::transition(u.comb);
@@ -124,7 +123,6 @@ obs::Json run_model(const UnitCircuit& u, fault::FaultModel model,
   const std::size_t n_full = fl.full_size();
   fault::FaultSimulator sim(u.comb, std::move(fl),
                             fault::EvalBackend::kCompiled, model);
-  sim.set_lane_backend(lb);
   sim.set_threads(opt.threads);
   Xoshiro256 rng(opt.seed);
   const fault::CoverageCurve curve =
@@ -230,8 +228,7 @@ obs::Json run_checks(const UnitCircuit& u, const SweepOptions& opt,
 }
 
 obs::Json run_unit(const CircuitSpec& spec, const SweepOptions& opt,
-                   const gate::LaneBackend* lb, rt::RunStatus& status,
-                   int& failed_checks) {
+                   rt::RunStatus& status, int& failed_checks) {
   const UnitCircuit u = load_circuit(spec, opt);
   obs::Json j = obs::Json::object();
   j["circuit"] = obs::Json(spec.name);
@@ -249,7 +246,7 @@ obs::Json run_unit(const CircuitSpec& spec, const SweepOptions& opt,
   }
   obs::Json models = obs::Json::object();
   for (const std::string& mname : opt.models) {
-    obs::Json m = run_model(u, parse_model(mname), opt, lb, status);
+    obs::Json m = run_model(u, parse_model(mname), opt, status);
     if (status != rt::RunStatus::kFinished) return obs::Json();
     models[mname] = std::move(m);
   }
@@ -467,7 +464,7 @@ CorpusResult run_corpus(const std::vector<CircuitSpec>& specs,
     const Clock::time_point t0 = Clock::now();
     rt::RunStatus status = rt::RunStatus::kFinished;
     obs::Json unit =
-        run_unit(specs[i], opt, lb, status, result.failed_checks);
+        run_unit(specs[i], opt, status, result.failed_checks);
     if (status != rt::RunStatus::kFinished) {
       result.status = status;  // unfinished unit dropped whole
       break;

@@ -9,9 +9,9 @@
 // Determinism contract: every field of the table is bit-identical across
 // thread counts, across interrupted-and-resumed runs, and across repeated
 // runs on the same tree. The levers that make this true:
-//   * the lane backend is pinned per engine instance (SweepOptions::lanes,
-//     default 64 = scalar64) instead of trusting the host's widest SIMD
-//     latch, so patterns_run never shifts with block width;
+//   * fault simulation always runs 64-pattern scalar blocks, and the BIST
+//     session batch backend is pinned (SweepOptions::lanes, default 64 =
+//     scalar64) instead of trusting the host's widest SIMD latch;
 //   * parallelism lives inside the engines (FaultSimulator / BistSession
 //     worker chunks are bit-identical by construction) while the circuit
 //     loop itself is serial, so --threads changes wall time only;
@@ -74,8 +74,10 @@ struct SweepOptions {
   /// Engine worker threads (0 = BIBS_THREADS / serial). Never affects the
   /// table, only wall time.
   int threads = 0;
-  /// Pattern lanes per block, pinned per engine instance. Must match a
-  /// compiled-in, CPU-supported backend (64 = scalar64, the golden default).
+  /// Lane width of the BIST session fault batches only; fault simulation
+  /// always runs 64-pattern scalar blocks. Must match a compiled-in,
+  /// CPU-supported backend (64 = scalar64, the golden default) or be 0
+  /// (the widest supported backend).
   int lanes = 64;
   /// Emulate BIST sessions on data-path circuits (both models).
   bool run_sessions = true;

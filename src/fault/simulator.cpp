@@ -73,7 +73,6 @@ FaultSimulator::FaultSimulator(const gate::Netlist& nl, FaultList faults,
     : nl_(&nl),
       faults_(std::move(faults)),
       model_(model),
-      lane_(&gate::active_lane_backend()),
       prog_(nl) {
   BIBS_ASSERT(nl.dffs().empty());  // combinational netlists only
   if (model_ == FaultModel::kTransition) {
@@ -88,35 +87,26 @@ FaultSimulator::FaultSimulator(const gate::Netlist& nl, FaultList faults,
   const std::size_t n = nl.net_count();
   observed_.assign(n, 0);
   for (NetId o : nl.outputs()) observed_[static_cast<std::size_t>(o)] = 1;
-  reset_good_values();
+  good_.assign(n, 0);
+  // Constant nets never change: set them once here instead of rescanning
+  // the whole netlist per block.
+  for (NetId c : prog_.const1_nets())
+    good_[static_cast<std::size_t>(c)] = ~0ull;
 }
 
 void FaultSimulator::set_lane_backend(const gate::LaneBackend* backend) {
   BIBS_ASSERT(backend != nullptr);
-  if (!backend->supported())
-    throw DesignError("lane backend " + std::string(backend->name) +
-                      " is not supported by this CPU");
-  lane_ = backend;
-  reset_good_values();
-}
-
-void FaultSimulator::reset_good_values() {
-  const std::size_t w = static_cast<std::size_t>(lane_->words);
-  good_.assign(nl_->net_count() * w, 0);
-  // Constant nets never change: set every word of them once here instead of
-  // rescanning the whole netlist per block.
-  for (NetId c : prog_.const1_nets())
-    for (std::size_t j = 0; j < w; ++j)
-      good_[static_cast<std::size_t>(c) * w + j] = ~0ull;
+  if (backend->words != 1)
+    throw DesignError("fault simulation runs 64-lane scalar blocks only; "
+                      "lane backend " + std::string(backend->name) +
+                      " is not accepted");
 }
 
 void FaultSimulator::good_eval(const std::uint64_t* in_words) {
-  const std::size_t w = static_cast<std::size_t>(lane_->words);
   const auto& ins = nl_->inputs();
   for (std::size_t i = 0; i < ins.size(); ++i)
-    for (std::size_t j = 0; j < w; ++j)
-      good_[static_cast<std::size_t>(ins[i]) * w + j] = in_words[i * w + j];
-  lane_->run_range(prog_.view(), 0, prog_.size(), good_.data());
+    good_[static_cast<std::size_t>(ins[i])] = in_words[i];
+  prog_.run(good_.data());
 }
 
 void FaultSimulator::set_progress(obs::ProgressFn fn,
@@ -151,15 +141,11 @@ CoverageCurve FaultSimulator::run(const PatternBlockFn& gen,
   BIBS_GAUGE_SET(g_faults_full, faults_.full_size() > 0 ? faults_.full_size()
                                                         : faults_.size());
 
-  // Lane-backend geometry of this run: W words = W * 64 patterns per block.
-  const std::size_t w = static_cast<std::size_t>(lane_->words);
-  const int block_patterns = lane_->lanes;
-
   par::ThreadPool pool(threads_);
   BIBS_GAUGE_SET(g_threads, pool.threads());
   std::vector<Scratch> scratch(static_cast<std::size_t>(pool.threads()));
   for (Scratch& s : scratch) {
-    s.cur.assign(nl_->net_count() * w, 0);
+    s.cur.assign(nl_->net_count(), 0);
     // The compiled sweep writes changed nets through a raw cursor (each net
     // changes at most once per fault, so net_count bounds the count).
     s.changed.assign(nl_->net_count(), 0);
@@ -202,13 +188,10 @@ CoverageCurve FaultSimulator::run(const PatternBlockFn& gen,
   for (std::size_t i = 0; i < faults_.size(); ++i)
     if (curve.detected_at[i] == CoverageCurve::kUndetected) live.push_back(i);
 
-  const std::size_t nin = nl_->inputs().size();
-  // One 64-lane generator sub-block, scattered into the W-strided in_words.
-  std::vector<std::uint64_t> gen_words(std::max<std::size_t>(nin, 1));
-  std::vector<std::uint64_t> in_words(std::max<std::size_t>(nin, 1) * w, 0);
-  std::vector<std::uint64_t> lane_mask(w, 0);
-  std::vector<std::uint64_t> block_det;  // W words per live fault, one block
-  block_det.reserve(live.size() * w);
+  std::vector<std::uint64_t> in_words(
+      std::max<std::size_t>(nl_->inputs().size(), 1));
+  std::vector<std::uint64_t> block_det;  // one word per live fault
+  block_det.reserve(live.size());
   std::int64_t base = resume ? resume->patterns_run : 0;
   std::int64_t last_new_detection = 0;
   for (std::int64_t d : curve.detected_at)
@@ -233,46 +216,18 @@ CoverageCurve FaultSimulator::run(const PatternBlockFn& gen,
     progress_(p);
   };
 
-  bool gen_done = false;
-  while (!gen_done && base < max_patterns && !live.empty()) {
+  while (base < max_patterns && !live.empty()) {
     if (const rt::RunStatus st = ctl.interruption(base);
         st != rt::RunStatus::kFinished) {
       curve.status = st;
       break;
     }
-    // Gather up to W generator sub-blocks (64 lanes each, called in
-    // ascending pattern order — the stream is identical at every width). A
-    // short sub-block closes this block so lane indices keep the invariant
-    // pattern == base + word * 64 + bit.
-    const std::int64_t wanted =
-        std::min<std::int64_t>(block_patterns, max_patterns - base);
-    int lanes = 0;
-    for (std::size_t j = 0; static_cast<std::int64_t>(j) * gate::kLanesPerWord
-                            < wanted; ++j) {
-      int sub = gen(gen_words.data());
-      if (sub <= 0) {
-        gen_done = true;
-        break;
-      }
-      sub = static_cast<int>(std::min<std::int64_t>(sub, wanted - lanes));
-      for (std::size_t i = 0; i < nin; ++i) in_words[i * w + j] = gen_words[i];
-      lanes += sub;
-      if (sub < gate::kLanesPerWord) break;
-    }
+    // One generator call per block: lane l is pattern base + l.
+    const int lanes = static_cast<int>(std::min<std::int64_t>(
+        {gen(in_words.data()), gate::kLanesPerWord, max_patterns - base}));
     if (lanes <= 0) break;
-    // Zero the ungathered tail words so short blocks stay deterministic
-    // (their lanes are masked out of detection either way).
-    for (std::size_t j = (static_cast<std::size_t>(lanes) +
-                          gate::kLanesPerWord - 1) / gate::kLanesPerWord;
-         j < w; ++j)
-      for (std::size_t i = 0; i < nin; ++i) in_words[i * w + j] = 0;
-    for (std::size_t j = 0; j < w; ++j) {
-      const std::int64_t rem =
-          lanes - static_cast<std::int64_t>(j) * gate::kLanesPerWord;
-      lane_mask[j] = rem >= gate::kLanesPerWord ? ~0ull
-                     : rem <= 0                 ? 0
-                               : ((1ull << rem) - 1);
-    }
+    const std::uint64_t lane_mask =
+        lanes >= gate::kLanesPerWord ? ~0ull : (1ull << lanes) - 1;
 
     good_eval(in_words.data());
 
@@ -281,7 +236,7 @@ CoverageCurve FaultSimulator::run(const PatternBlockFn& gen,
     // per-fault detection words into disjoint block_det slots, and the merge
     // below walks them in fault-list order — so curve/stall state evolves
     // exactly as in a serial run whatever the thread count.
-    block_det.resize(live.size() * w);
+    block_det.resize(live.size());
     pool.parallel_for_chunks(
         live.size(), [&](int chunk, std::size_t b, std::size_t e) {
           if (b == e) return;
@@ -290,7 +245,7 @@ CoverageCurve FaultSimulator::run(const PatternBlockFn& gen,
           const gate::LanePropagateCtx ctx{
               prog_.view(),     prog_.size(),     good_.data(),
               s.cur.data(),     observed_.data(), s.dirty.data(),
-              lane_mask.data()};
+              lane_mask};
           for (std::size_t li = b; li < e; ++li) {
             const Fault& f = faults_[live[li]];
             const gate::LaneFaultSite site{
@@ -298,8 +253,7 @@ CoverageCurve FaultSimulator::run(const PatternBlockFn& gen,
                 f.pin >= 0 ? prog_.instr_of(f.net)
                            : gate::EvalProgram::kNoInstr,
                 f.stuck};
-            lane_->propagate(ctx, site, s.changed.data(),
-                             block_det.data() + li * w);
+            block_det[li] = gate::propagate_fault(ctx, site, s.changed.data());
           }
         });
 
@@ -310,25 +264,14 @@ CoverageCurve FaultSimulator::run(const PatternBlockFn& gen,
       // in) equals the initialization value — 0 for slow-to-rise, 1 for
       // slow-to-fall. The very first pattern of a run has no launch side
       // and is masked off entirely.
-      const std::int64_t last = lanes - 1;
       for (std::size_t li = 0; li < live.size(); ++li) {
         const std::size_t fi = live[li];
         const Fault& f = faults_[fi];
-        const std::uint64_t* g =
-            good_.data() + static_cast<std::size_t>(f.net) * w;
-        std::uint64_t* det = block_det.data() + li * w;
-        std::uint64_t carry = site_prev_[fi] ? 1ull : 0ull;
-        for (std::size_t j = 0; j < w; ++j) {
-          const std::uint64_t launch = (g[j] << 1) | carry;
-          carry = g[j] >> 63;
-          det[j] &= f.stuck ? launch : ~launch;
-        }
-        if (!have_prev_) det[0] &= ~1ull;
-        site_prev_[fi] =
-            static_cast<std::uint8_t>((g[static_cast<std::size_t>(last) /
-                                         gate::kLanesPerWord] >>
-                                       (last % gate::kLanesPerWord)) &
-                                      1);
+        const std::uint64_t g = good_[static_cast<std::size_t>(f.net)];
+        const std::uint64_t launch = (g << 1) | (site_prev_[fi] ? 1ull : 0ull);
+        block_det[li] &= f.stuck ? launch : ~launch;
+        if (!have_prev_) block_det[li] &= ~1ull;
+        site_prev_[fi] = static_cast<std::uint8_t>((g >> (lanes - 1)) & 1);
       }
       have_prev_ = true;
     }
@@ -337,15 +280,8 @@ CoverageCurve FaultSimulator::run(const PatternBlockFn& gen,
     const std::size_t live_before = live.size();
     for (std::size_t li = 0; li < live.size(); ++li) {
       const std::size_t fi = live[li];
-      const std::uint64_t* det = block_det.data() + li * w;
-      std::size_t jw = 0;
-      while (jw < w && det[jw] == 0) ++jw;
-      if (jw < w) {
-        // Words ascending, bits ascending — the first detecting pattern,
-        // which is the same index every lane width computes.
-        curve.detected_at[fi] =
-            base + static_cast<std::int64_t>(jw) * gate::kLanesPerWord +
-            std::countr_zero(det[jw]);
+      if (block_det[li] != 0) {
+        curve.detected_at[fi] = base + std::countr_zero(block_det[li]);
         last_new_detection = curve.detected_at[fi];
       } else {
         live[keep++] = fi;

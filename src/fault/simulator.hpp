@@ -1,22 +1,14 @@
 #pragma once
 // Parallel-pattern single-fault-propagation (PPSFP) stuck-at fault simulator.
 //
-// Good-circuit values for a block of W*64 patterns (W = the active
-// gate::LaneBackend's word count; 64 patterns on scalar64) are computed with
-// one levelized sweep; each still-undetected fault is then injected and
-// propagated event-driven through its fanout cone only. Detected faults are
+// Good-circuit values for a block of 64 patterns (one generator call, one
+// 64-bit word per net) are computed with one scalar64 levelized sweep; each
+// still-undetected fault is then injected and propagated event-driven
+// through its fanout cone only (gate::propagate_fault). Detected faults are
 // dropped. This is the engine behind the paper's Table 2 coverage numbers.
-//
-// Lane widths: the simulator runs on the lane backend captured at
-// construction (gate::active_lane_backend(); override per instance with
-// set_lane_backend). detected_at curves are bit-identical across widths —
-// a still-live fault's first detecting pattern inside a wider block is its
-// globally first detecting pattern, and the pattern stream is
-// width-invariant because the generator fills 64 lanes per call in scalar
-// order. patterns_run MAY differ across widths when every fault is detected
-// (or the stall limit fires) mid-block, because the loop only re-checks
-// liveness at block boundaries; width-identity gates therefore compare
-// curves on runs that exhaust their pattern budget.
+// The process-wide SIMD lane backend (gate::active_lane_backend) never
+// reaches it: curves and patterns_run are the same under every --lanes /
+// BIBS_LANES setting.
 //
 // The simulator operates on purely combinational netlists — for sequential
 // balanced kernels, pass gate::combinational_kernel() output (valid by the
@@ -93,10 +85,10 @@ class FaultSimulator {
   /// pattern p detects a slow-to-rise (slow-to-fall) fault iff p detects the
   /// corresponding stuck-at-0 (stuck-at-1) fault AND the site's fault-free
   /// value on pattern p-1 — the launch word, i.e. the previous capture word —
-  /// was 0 (1). The launch mask is computed from the shared good-circuit
-  /// block by a one-bit shift with inter-block carry, so the SIMD propagate
-  /// kernels are untouched and detected_at curves stay width- and
-  /// thread-invariant; pattern 0 has no launch side and never detects.
+  /// was 0 (1). The launch word is the site's good word shifted up one bit,
+  /// carrying in the previous block's last value, so the propagate kernel
+  /// is untouched and detected_at curves stay thread-invariant; pattern 0
+  /// has no launch side and never detects.
   FaultSimulator(const gate::Netlist& nl, FaultList faults,
                  EvalBackend backend = EvalBackend::kCompiled,
                  FaultModel model = FaultModel::kStuckAt);
@@ -107,15 +99,12 @@ class FaultSimulator {
 
   /// Fills 64 pattern lanes: words[i] is the word for primary input i
   /// (nl.inputs()[i]); returns the number of valid lanes (1..64); returning
-  /// 0 ends the run early. On a wide backend run() calls the generator up
-  /// to W times per block — in ascending pattern order, exactly as the
-  /// scalar64 backend would — and a short return (< 64 lanes) closes the
-  /// block, so the stream a generator produces is width-invariant.
+  /// 0 ends the run early. run() calls it once per block.
   using PatternBlockFn = std::function<int(std::uint64_t* words)>;
 
   /// Runs up to max_patterns from the generator. Stops early when all faults
   /// are detected or when `stall_limit` consecutive patterns bring no new
-  /// detection. `ctl` is polled once per block (W*64 patterns): an
+  /// detection. `ctl` is polled once per 64-pattern block: an
   /// interrupted run stops within one block and returns a partial curve
   /// whose `status` says why. `resume` (when non-null) continues a
   /// checkpointed run:
@@ -172,17 +161,14 @@ class FaultSimulator {
   /// Installs a progress callback invoked from run() roughly every
   /// `every_patterns` simulated patterns and once more when the run ends.
   /// Pass an empty function to disable. The cadence is block-granular
-  /// (W*64-pattern blocks), never the inner fault loop; callbacks always
+  /// (64-pattern blocks), never the inner fault loop; callbacks always
   /// fire on the thread that called run(), regardless of set_threads.
   void set_progress(obs::ProgressFn fn, std::int64_t every_patterns = 8192);
 
-  /// Overrides the lane backend captured at construction (bench matrices,
-  /// width-identity tests). Throws DesignError when the backend is not
-  /// CPU-supported. Resets good-value state; call before run().
+  /// Source-compatibility shim (as the EvalBackend parameter is): the
+  /// simulator always runs 64-lane scalar blocks, so a one-word backend is
+  /// accepted and ignored, and any wider one throws DesignError.
   void set_lane_backend(const gate::LaneBackend* backend);
-  const gate::LaneBackend& lane_backend() const { return *lane_; }
-  /// Patterns per block under the current lane backend (W * 64).
-  int block_lanes() const { return lane_->lanes; }
 
   /// Worker threads for the per-fault propagation loop. 0 (the default)
   /// resolves BIBS_THREADS and falls back to serial; results are
@@ -190,8 +176,8 @@ class FaultSimulator {
   void set_threads(int threads);
 
  private:
-  /// Per-worker mutable state for lane_->propagate; one instance per pool
-  /// chunk so workers never share write access.
+  /// Per-worker mutable state for gate::propagate_fault; one instance per
+  /// pool chunk so workers never share write access.
   struct Scratch {
     std::vector<std::uint64_t> cur;
     std::vector<gate::NetId> changed;
@@ -203,7 +189,6 @@ class FaultSimulator {
   };
 
   void good_eval(const std::uint64_t* in_words);
-  void reset_good_values();
 
   /// Fault-free value of net `net` under `pattern` (serial resimulation).
   bool good_value_naive(gate::NetId net,
@@ -212,7 +197,6 @@ class FaultSimulator {
   const gate::Netlist* nl_;
   FaultList faults_;
   FaultModel model_ = FaultModel::kStuckAt;
-  const gate::LaneBackend* lane_;
   // Transition model: per fault, the site's fault-free value on the last
   // pattern of the previous block (launch side of the next block's first
   // pattern). have_prev_ is false until the first block completes — pattern
@@ -230,8 +214,8 @@ class FaultSimulator {
   std::vector<gate::NetId> topo_;
   std::vector<char> observed_;  // per net: is a PO
 
-  // Good-circuit values of the current block (shared, read-only during the
-  // parallel fault loop). W-strided: net n owns words [n*W, n*W + W).
+  // Good-circuit values of the current block, one word per net (shared,
+  // read-only during the parallel fault loop).
   std::vector<std::uint64_t> good_;
 };
 

@@ -4,9 +4,10 @@
 // W consecutive 64-bit words per net (W*64 lanes per sweep) behind a
 // runtime-dispatched backend table:
 //
-//   scalar64   W=1, always compiled; EvalProgram::run, the curve oracles and
-//              every test gate run it;
-//   avx512     W=8 (512-bit), compiled in a TU built with -mavx512f.
+//   scalar64   W=1, always compiled; EvalProgram::run, the PPSFP fault
+//              simulator, the curve oracles and every test gate run it;
+//   avx512     W=8 (512-bit), compiled in a TU built with -mavx512f; the
+//              LaneEngine session batches and the miter sweeps run it.
 //
 // Both are the same plain C++ loops over LaneWord<W> (lanes_impl.hpp) — GCC
 // auto-vectorizes the fixed-W inner ops to the TU's ISA. Each width is
@@ -20,6 +21,9 @@
 // Lane 0..63 of word 0 are bit-identical to the scalar64 words, which is
 // what the bit-identity gates (bench_kernel --check, tests/lanes_test.cpp)
 // compare against.
+//
+// Single-fault propagation (propagate_fault) is not a backend slot: the
+// fault simulator runs 64-pattern blocks only, so it is one scalar function.
 //
 // Backend selection: active_lane_backend() latches the widest backend the
 // CPU supports, overridable with BIBS_LANES=scalar64|avx512 (or the
@@ -98,7 +102,7 @@ struct alignas(8 * W) LaneWord {
   }
 };
 
-/// One stuck-at fault site handed to LaneBackend::propagate. `instr` is the
+/// One stuck-at fault site handed to propagate_fault. `instr` is the
 /// injection instruction for pin faults (EvalProgram::kNoInstr for stems).
 struct LaneFaultSite {
   NetId net;
@@ -108,19 +112,25 @@ struct LaneFaultSite {
 };
 
 /// Read-only context shared by every fault a worker propagates within one
-/// pattern block. All value arrays are W-strided; `lane_mask` holds W words
-/// masking the valid pattern lanes of the block.
+/// 64-pattern block: one word per net, `lane_mask` masks the valid lanes.
 struct LanePropagateCtx {
   ProgramView pv;
   std::size_t n_instr;
-  const std::uint64_t* good;   // net_count * W words
+  const std::uint64_t* good;   // net_count words
   std::uint64_t* cur;          // worker scratch, == good between faults
   const char* observed;        // per net: is a PO
   std::uint64_t* dirty;        // one bit per instruction, zero between faults
-  const std::uint64_t* lane_mask;  // W words
+  std::uint64_t lane_mask;
 };
 
-/// One evaluation backend: name, width, CPUID gate and the four kernels.
+/// Event-driven single-fault propagation over the fanout cone of one
+/// 64-pattern block; returns the per-lane detection word (masked by
+/// ctx.lane_mask) and restores ctx.cur to ctx.good. `changed` is scratch for
+/// at least net_count entries.
+std::uint64_t propagate_fault(const LanePropagateCtx& ctx,
+                              const LaneFaultSite& f, NetId* changed);
+
+/// One evaluation backend: name, width, CPUID gate and the three kernels.
 /// All value pointers are W-strided arrays (net n at words [n*W, n*W+W)).
 struct LaneBackend {
   const char* name;
@@ -138,11 +148,6 @@ struct LaneBackend {
   void (*eval_one_forced)(const ProgramView& pv, std::size_t i,
                           const std::uint64_t* values, int pin,
                           const std::uint64_t* forced, std::uint64_t* out);
-  /// Event-driven single-fault propagation over the fanout cone; ORs the
-  /// per-lane detection words into detect[0..W) and restores ctx.cur to
-  /// ctx.good. `changed` is scratch for at least net_count entries.
-  void (*propagate)(const LanePropagateCtx& ctx, const LaneFaultSite& f,
-                    NetId* changed, std::uint64_t* detect);
 };
 
 /// The W=1 backend (always compiled, always supported); EvalProgram::run

@@ -1,7 +1,8 @@
 #pragma once
 // Width-templated kernel bodies behind the LaneBackend tables — the only
 // compiled gate-eval kernel (gate::reference_eval is the independent
-// reference it is checked against).
+// reference it is checked against). lanes.cpp also builds the scalar fault
+// propagation (gate::propagate_fault) from the W=1 bodies.
 //
 // Included ONLY by the per-backend TUs (lanes.cpp at W=1, lanes_avx512.cpp
 // at W=8), each built with its ISA flags. Every width must be instantiated
@@ -13,7 +14,6 @@
 // LaneWord is one std::uint64_t, so lane 0..63 of every width compute the
 // same bits.
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -103,87 +103,6 @@ void run_range_w(const ProgramView& pv, std::size_t begin, std::size_t end,
   }
 }
 
-/// The dirty-bitmask event loop of the compiled fault propagation: a
-/// LaneWord per net, one dirty bit per instruction (an event fires when ANY
-/// of the W words changed). Instruction indices are a topological order
-/// (consumers follow producers in the stream), so scheduling is one
-/// idempotent OR and popping is countr_zero on an ascending bit scan.
-/// Three facts keep the per-event work minimal:
-///  - every net is written at most once per sweep (ascending topological
-///    order), so a changed net can be recorded without comparing against
-///    good first, and detection falls out of the changed list at the end;
-///  - the injection instruction can never be re-marked (its fan-ins are
-///    strictly upstream of the cone), so no per-event skip is needed;
-///  - the current bitmask word is kept in a register and only spilled marks
-///    go through memory, so there is no load/store chain on dirty[wi].
-template <int W>
-void propagate_w(const LanePropagateCtx& c, const LaneFaultSite& f,
-                 NetId* chg, std::uint64_t* detect) {
-  const ProgramView& pv = c.pv;
-  std::uint64_t* cur = c.cur;
-  const std::uint64_t* good = c.good;
-  const LaneWord<W> mask = LaneWord<W>::load(c.lane_mask);
-  LaneWord<W> det = LaneWord<W>::zero();
-
-  const LaneWord<W> stuck_word =
-      f.stuck ? LaneWord<W>::ones() : LaneWord<W>::zero();
-  const LaneWord<W> injected =
-      f.pin < 0 ? stuck_word
-                : eval_one_forced_w<W>(pv, f.instr, cur, f.pin, stuck_word);
-  if (injected == lw<W>(cur, f.net)) {
-    det.store(detect);
-    return;
-  }
-  injected.store(cur + static_cast<std::size_t>(f.net) * W);
-
-  std::size_t nchg = 0;
-  chg[nchg++] = f.net;
-
-  std::uint64_t* dirty = c.dirty;
-  const std::size_t nwords = (c.n_instr + 63) / 64;
-  std::size_t wlo = nwords;
-  for (const std::uint32_t* p = pv.fo + pv.fo_off[f.net],
-                          * pe = pv.fo + pv.fo_off[f.net + 1];
-       p != pe; ++p) {
-    const std::size_t w = *p >> 6;
-    dirty[w] |= 1ull << (*p & 63);
-    if (w < wlo) wlo = w;
-  }
-
-  for (std::size_t wi = wlo; wi < nwords; ++wi) {
-    std::uint64_t w = dirty[wi];
-    dirty[wi] = 0;
-    while (w != 0) {
-      const std::uint32_t ii = static_cast<std::uint32_t>(
-          (wi << 6) + static_cast<std::size_t>(std::countr_zero(w)));
-      w &= w - 1;
-      const LaneWord<W> v = eval_one_w<W>(pv, ii, cur);
-      const NetId id = pv.out[ii];
-      if (v == lw<W>(cur, id)) continue;
-      v.store(cur + static_cast<std::size_t>(id) * W);
-      chg[nchg++] = id;
-      for (const std::uint32_t* p = pv.fo + pv.fo_off[id],
-                              * pe = pv.fo + pv.fo_off[id + 1];
-           p != pe; ++p) {
-        const std::uint32_t cc = *p;
-        if ((cc >> 6) == wi)
-          w |= 1ull << (cc & 63);
-        else
-          dirty[cc >> 6] |= 1ull << (cc & 63);
-      }
-    }
-  }
-
-  for (std::size_t k = 0; k < nchg; ++k) {
-    const std::size_t n = static_cast<std::size_t>(chg[k]) * W;
-    if (c.observed[static_cast<std::size_t>(chg[k])])
-      det = det | ((LaneWord<W>::load(cur + n) ^ LaneWord<W>::load(good + n)) &
-                   mask);
-    LaneWord<W>::load(good + n).store(cur + n);
-  }
-  det.store(detect);
-}
-
 template <int W>
 void eval_one_entry(const ProgramView& pv, std::size_t i,
                     const std::uint64_t* values, std::uint64_t* out) {
@@ -206,8 +125,7 @@ LaneBackend make_lane_backend(const char* name, bool (*supported)()) {
                      supported,
                      &run_range_w<W>,
                      &eval_one_entry<W>,
-                     &eval_one_forced_entry<W>,
-                     &propagate_w<W>};
+                     &eval_one_forced_entry<W>};
 }
 
 }  // namespace bibs::gate::lanes_detail

@@ -5,8 +5,8 @@
 // the current pattern block. A clocked (DFF-stepping) wrapper around
 // EvalProgram::run for examples, benches and tests that drive a netlist
 // cycle by cycle. fault::FaultSimulator and sim::LaneEngine (BIST and CSTP
-// sessions) are NOT built on it: they run the gate::LaneBackend kernels
-// directly. The static eval_gate() is the per-gate truth table behind
+// sessions) are NOT built on it: they run EvalProgram / gate::propagate_fault
+// and the gate::LaneBackend kernels directly. The static eval_gate() is the per-gate truth table behind
 // gate::reference_eval and the naive single-fault detectors.
 
 #include <cstdint>

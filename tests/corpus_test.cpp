@@ -12,6 +12,7 @@
 
 #include "common/error.hpp"
 #include "corpus/corpus.hpp"
+#include "gate/lanes.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
 
@@ -105,6 +106,36 @@ TEST(CorpusSweep, TableIsThreadCountInvariant) {
   const CorpusResult threaded = corpus::run_corpus(mini_specs(), opt);
   ASSERT_EQ(threaded.status, rt::RunStatus::kFinished);
   EXPECT_EQ(serial.table.dump(), threaded.table.dump());
+}
+
+/// --lanes sets the session batch width only: fault simulation always runs
+/// 64-pattern blocks, so the fault-sim model rows, patterns_run included,
+/// are byte-identical at 512 lanes. c6288 detects its last fault at pattern
+/// 384 (stuck-at), mid-way through what a 512-pattern block would be.
+TEST(CorpusSweep, FaultSimRowsIgnoreLaneWidth) {
+  if (!gate::lane_backend_for_lanes(512))
+    GTEST_SKIP() << "no CPU-supported 512-lane backend";
+  const std::vector<CircuitSpec> specs = {
+      {"c6288", CircuitKind::kBenchFile, "iscas85/c6288.bench", 0, 0},
+      {"c5a2m_w2", CircuitKind::kPaperDatapath, "c5a2m", 0, 2}};
+  SweepOptions opt = mini_options();
+  opt.max_patterns = 1024;
+  opt.budgets = {64, 256, 1024};
+  const CorpusResult narrow = corpus::run_corpus(specs, opt);
+  opt.lanes = 512;
+  const CorpusResult wide = corpus::run_corpus(specs, opt);
+  ASSERT_EQ(narrow.status, rt::RunStatus::kFinished);
+  ASSERT_EQ(wide.status, rt::RunStatus::kFinished);
+  const obs::Json* a = narrow.table.find("circuits");
+  const obs::Json* b = wide.table.find("circuits");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  ASSERT_EQ(a->size(), specs.size());
+  ASSERT_EQ(b->size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i)
+    EXPECT_EQ(a->items()[i].find("models")->dump(),
+              b->items()[i].find("models")->dump())
+        << specs[i].name;
 }
 
 TEST(CorpusSweep, InterruptedRunResumesByteIdentical) {

@@ -141,9 +141,6 @@ gate::Netlist resistant() {
 TEST(FaultSimRt, CancelFromAnotherThreadStopsWithinOneBlock) {
   const gate::Netlist nl = resistant();
   fault::FaultSimulator sim(nl, fault::FaultList::full(nl));
-  // Pin the block shape: the cadence assertions below count generator calls
-  // and 64-pattern blocks, which a wider lane backend would coalesce.
-  sim.set_lane_backend(&gate::scalar_lane_backend());
 
   rt::RunControl ctl;
   std::atomic<int> blocks{0};

@@ -232,8 +232,10 @@ TEST(TransitionSim, MatchesNaiveTwoPatternResimulation) {
     const CoverageCurve curve =
         sim.run(replay(nl, patterns),
                 static_cast<std::int64_t>(patterns.size()));
-    ASSERT_EQ(curve.patterns_run,
-              static_cast<std::int64_t>(patterns.size()));
+    // The run stops at the end of the 64-pattern block in which the last
+    // fault falls, or after every pattern when some fault stays undetected.
+    const auto n_patterns = static_cast<std::int64_t>(patterns.size());
+    std::int64_t expect_run = 0;
     for (std::size_t fi = 0; fi < sim.faults().size(); ++fi) {
       const Fault& f = sim.faults()[fi];
       std::int64_t expect = CoverageCurve::kUndetected;
@@ -245,33 +247,36 @@ TEST(TransitionSim, MatchesNaiveTwoPatternResimulation) {
       }
       EXPECT_EQ(curve.detected_at[fi], expect)
           << fault::to_string(nl, f, FaultModel::kTransition);
+      expect_run = expect == CoverageCurve::kUndetected
+                       ? n_patterns
+                       : std::max(expect_run, (expect / 64 + 1) * 64);
     }
+    EXPECT_EQ(curve.patterns_run, std::min(expect_run, n_patterns));
   }
 }
 
 // --------------------------------------------- width / thread invariance --
 
+/// The process-wide lane backend (BIBS_LANES / --lanes) never reaches the
+/// fault simulator: curves and patterns_run are the same under every one.
 TEST(TransitionSim, CurvesAreWidthInvariant) {
   for (int width : {4, 8}) {
     const Netlist nl = adder(width);
     const FaultList faults = FaultList::transition(nl);
-
-    FaultSimulator scalar_sim(nl, faults, fault::EvalBackend::kCompiled,
-                              FaultModel::kTransition);
-    scalar_sim.set_lane_backend(&gate::scalar_lane_backend());
-    Xoshiro256 rng_s(42);
-    const CoverageCurve base = scalar_sim.run_random(rng_s, 2048);
-
+    std::vector<CoverageCurve> curves;
     for (const gate::LaneBackend* lb : gate::all_lane_backends()) {
-      if (!lb->supported() || lb == &gate::scalar_lane_backend()) continue;
+      if (!lb->supported()) continue;
+      gate::set_lane_backend(lb);
       FaultSimulator sim(nl, faults, fault::EvalBackend::kCompiled,
                          FaultModel::kTransition);
-      sim.set_lane_backend(lb);
       Xoshiro256 rng(42);
-      const CoverageCurve curve = sim.run_random(rng, 2048);
-      EXPECT_EQ(curve.detected_at, base.detected_at) << lb->name;
-      EXPECT_EQ(curve.patterns_run % lb->lanes, 0) << lb->name;
+      curves.push_back(sim.run_random(rng, 2048));
+      EXPECT_EQ(curves.back().detected_at, curves.front().detected_at)
+          << lb->name;
+      EXPECT_EQ(curves.back().patterns_run, curves.front().patterns_run)
+          << lb->name;
     }
+    gate::set_lane_backend(nullptr);
   }
 }
 
@@ -299,18 +304,15 @@ TEST(TransitionSim, CheckpointResumeIsBitExact) {
   const Netlist nl = adder_with_resistant_and(8);
   const FaultList faults = FaultList::transition(nl);
 
-  // Scalar64 keeps the poll granularity at 64 patterns, so the budget stop
-  // fires while faults are still live (a wide block would already have
-  // detected everything and finished naturally before the first poll).
+  // The run is polled every 64 patterns, so the budget stop fires while
+  // faults are still live.
   FaultSimulator straight(nl, faults, fault::EvalBackend::kCompiled,
                           FaultModel::kTransition);
-  straight.set_lane_backend(&gate::scalar_lane_backend());
   Xoshiro256 rng_a(21);
   const CoverageCurve whole = straight.run_random(rng_a, 1024);
 
   FaultSimulator first(nl, faults, fault::EvalBackend::kCompiled,
                        FaultModel::kTransition);
-  first.set_lane_backend(&gate::scalar_lane_backend());
   Xoshiro256 rng_b(21);
   rt::RunControl ctl;
   ctl.budget = 64;
@@ -329,7 +331,6 @@ TEST(TransitionSim, CheckpointResumeIsBitExact) {
 
   FaultSimulator second(nl, faults, fault::EvalBackend::kCompiled,
                         FaultModel::kTransition);
-  second.set_lane_backend(&gate::scalar_lane_backend());
   Xoshiro256 rng_c(999);  // overwritten by the checkpointed PRNG state
   const CoverageCurve rest =
       second.run_random(rng_c, 1024, kNoStall, {}, &thawed);
@@ -341,9 +342,7 @@ TEST(TransitionSim, ResumeRejectsModelMismatchAndMissingLaunchState) {
   const Netlist nl = adder_with_resistant_and(8);
 
   // A stuck-at checkpoint cannot seed a transition run (and vice versa).
-  // Scalar64 again so the budget stop beats natural completion.
   FaultSimulator stuck(nl, FaultList::collapsed(nl));
-  stuck.set_lane_backend(&gate::scalar_lane_backend());
   Xoshiro256 rng(3);
   rt::RunControl ctl;
   ctl.budget = 64;
@@ -363,7 +362,6 @@ TEST(TransitionSim, ResumeRejectsModelMismatchAndMissingLaunchState) {
   // unusable once patterns were simulated.
   FaultSimulator trans2(nl, tfaults, fault::EvalBackend::kCompiled,
                         FaultModel::kTransition);
-  trans2.set_lane_backend(&gate::scalar_lane_backend());
   Xoshiro256 rng3(3);
   const CoverageCurve tpart = trans2.run_random(rng3, 1024, kNoStall, ctl);
   ASSERT_NE(tpart.status, rt::RunStatus::kFinished);
